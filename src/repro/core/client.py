@@ -28,7 +28,6 @@ from repro.core.interfaces import ClientPlatform
 from repro.core.request import Request
 
 SHARED_PLATFORM = "platform"
-SHARED_FAILED_SERVERS = "failed_servers"
 
 
 class CactusClient(CompositeProtocol):
@@ -47,8 +46,6 @@ class CactusClient(CompositeProtocol):
         self.platform = platform
         self.request_timeout = request_timeout
         self.shared.set(SHARED_PLATFORM, platform)
-        # Failure knowledge persists across requests (PassiveRep failover).
-        self.shared.set(SHARED_FAILED_SERVERS, set())
         self.configure(micro_protocols)
 
     @classmethod

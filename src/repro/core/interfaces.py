@@ -55,6 +55,15 @@ class ClientPlatform(ABC):
         """True when replica ``server`` is believed to be running."""
 
     @abstractmethod
+    def mark_failed(self, server: int) -> None:
+        """Record replica ``server`` as failed until the next ``bind()``.
+
+        The one write path for failure knowledge: every QoS protocol that
+        concludes a replica is down (failover, failure detection) marks it
+        here, so ``server_status()`` answers the same for all of them.
+        """
+
+    @abstractmethod
     def invoke_server(self, server: int, request: Request) -> Any:
         """Synchronously invoke ``request`` on replica ``server``.
 

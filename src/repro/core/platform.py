@@ -12,7 +12,8 @@ paper-verbatim naming conventions).
 Kernel pieces:
 
 - :class:`ReplicaDirectory` — naming-convention strategy + lazy bind +
-  lock-guarded liveness marks, shared by client platforms and the replica
+  the client's one replica-health table (lock-guarded liveness marks and
+  reply-latency EWMAs), shared by client platforms and the replica
   control plane.  The class now lives in :mod:`repro.core.routing`
   (re-exported here): replica discovery consults a
   :class:`~repro.core.routing.ShardRouter` view when one is attached and
@@ -63,7 +64,7 @@ from repro.core.request import (
     PB_VIEW_VERSION,
     Request,
 )
-from repro.core.routing import ReplicaDirectory, ShardRouter
+from repro.core.routing import ReplicaDirectory, ShardRouter, ViewLease
 from repro.net.transport import ReplyFuture
 from repro.serialization.jser import jser_dumps, jser_loads
 from repro.util.errors import (
@@ -600,11 +601,6 @@ class BaseClientPlatform(ClientPlatform):
             router=self.router,
             object_id=object_id,
         )
-        # Per-replica reply-latency EWMA, fed by every successful send (sync
-        # or async).  rank_servers() orders fan-out/balancing candidates by
-        # it, so quorum gathers tend to reach k before the slow stragglers.
-        self._latency_ewma: dict[int, float] = {}
-        self._latency_lock = threading.Lock()
 
     def add_observer(self, observer: InvocationObserver) -> None:
         self.observers.append(observer)
@@ -663,6 +659,9 @@ class BaseClientPlatform(ClientPlatform):
     def server_status(self, server: int) -> bool:
         return self.directory.status(server)
 
+    def mark_failed(self, server: int) -> None:
+        self.directory.mark_failed(server)
+
     def probe(self, server: int) -> bool:
         """Active liveness check via the skeleton's control ping."""
         try:
@@ -697,34 +696,29 @@ class BaseClientPlatform(ClientPlatform):
                     raise
         raise AssertionError("unreachable")
 
-    def _invoke_server_once(self, server: int, request: Request) -> Any:
+    def _begin_send(self, server: int, request: Request) -> tuple[Any, ViewLease | None]:
+        """Bind, resolve, pin the routing view, notify: ``(endpoint, lease)``.
+
+        In-flight invocations pin the view they routed with: during a shard
+        handoff this attempt completes against the old view while new binds
+        route to the new owner (zero-drop rebalancing).  The view stamp
+        rides piggyback only on sharded deployments, so unsharded wire bytes
+        are untouched.
+        """
         self.directory.bind(server)
         endpoint = self.directory.endpoint(server)
-        # In-flight invocations pin the view they routed with: during a
-        # shard handoff this attempt completes against the old view while
-        # new binds route to the new owner (zero-drop rebalancing).  The
-        # view stamp rides piggyback only on sharded deployments, so
-        # unsharded wire bytes are untouched.
         lease = self.router.lease() if self.router.sharded else None
         if lease is not None:
             request.piggyback[PB_VIEW_VERSION] = lease.view.version
         notify_observers(self.observers, "on_wire_send", request, server)
-        started = time.monotonic()
-        try:
-            value = self._send(
-                endpoint, request.operation, request.get_params(), dict(request.piggyback)
-            )
-        except BaseException as exc:
-            # ServerFailedError marks the replica down (server_status sees
-            # it); transient CommunicationErrors only drop the binding so
-            # the next attempt reconnects.
-            self.directory.apply_fault(server, exc)
-            notify_observers(self.observers, "on_wire_failure", request, server, exc)
-            raise
-        finally:
-            if lease is not None:
-                lease.release()
-        self.record_latency(server, time.monotonic() - started)
+        return endpoint, lease
+
+    def _settle_reply(self, server: int, request: Request, value: Any, started: float) -> Any:
+        """Record latency, unwrap the reply, pull any view delta, notify."""
+        if request.operation != CONTROL_OPERATION:
+            # Control-plane replies (a balancer's load poll) come from the
+            # skeleton, not the servant: they say nothing about service time.
+            self.directory.record_latency(server, time.monotonic() - started)
         value, reply_piggyback = unwrap_reply_value(value)
         if reply_piggyback:
             request.reply_piggyback.update(reply_piggyback)
@@ -735,6 +729,31 @@ class BaseClientPlatform(ClientPlatform):
                 self.refresh()
         notify_observers(self.observers, "on_wire_reply", request, server, value)
         return value
+
+    def _settle_fault(self, server: int, request: Request, error: BaseException) -> None:
+        """Apply the fault taxonomy to the replica's health, then notify.
+
+        ServerFailedError marks the replica down (server_status sees it);
+        transient CommunicationErrors only drop the binding so the next
+        attempt reconnects.
+        """
+        self.directory.apply_fault(server, error)
+        notify_observers(self.observers, "on_wire_failure", request, server, error)
+
+    def _invoke_server_once(self, server: int, request: Request) -> Any:
+        endpoint, lease = self._begin_send(server, request)
+        started = time.monotonic()
+        try:
+            value = self._send(
+                endpoint, request.operation, request.get_params(), dict(request.piggyback)
+            )
+        except BaseException as exc:
+            self._settle_fault(server, request, exc)
+            raise
+        finally:
+            if lease is not None:
+                lease.release()
+        return self._settle_reply(server, request, value, started)
 
     def invoke_server_async(self, server: int, request: Request) -> ReplyFuture:
         """Non-blocking :meth:`invoke_server`: submit now, settle later.
@@ -752,12 +771,7 @@ class BaseClientPlatform(ClientPlatform):
         whichever comes first, so abandoned stragglers cannot pin a retired
         view forever.
         """
-        self.directory.bind(server)
-        endpoint = self.directory.endpoint(server)
-        lease = self.router.lease() if self.router.sharded else None
-        if lease is not None:
-            request.piggyback[PB_VIEW_VERSION] = lease.view.version
-        notify_observers(self.observers, "on_wire_send", request, server)
+        endpoint, lease = self._begin_send(server, request)
         started = time.monotonic()
         reply = self._send_async(
             endpoint, request.operation, request.get_params(), dict(request.piggyback)
@@ -767,61 +781,15 @@ class BaseClientPlatform(ClientPlatform):
             reply.add_done_callback(lambda _reply: release())
             reply.chain_abandon(release)
 
-        def on_value(value: Any) -> Any:
-            self.record_latency(server, time.monotonic() - started)
-            value, reply_piggyback = unwrap_reply_value(value)
-            if reply_piggyback:
-                request.reply_piggyback.update(reply_piggyback)
-                delta = reply_piggyback.get(PB_VIEW_DELTA)
-                if delta is not None and not self.router.apply_delta(delta):
-                    self.refresh()
-            notify_observers(self.observers, "on_wire_reply", request, server, value)
-            return value
-
         def on_error(exc: BaseException) -> Any:
-            self.directory.apply_fault(server, exc)
-            notify_observers(self.observers, "on_wire_failure", request, server, exc)
+            self._settle_fault(server, request, exc)
             if isinstance(exc, ShardMovedError):
                 return self.invoke_server(server, request)
             raise exc
 
-        return reply.then(on_value, on_error)
-
-    # -- latency ranking -----------------------------------------------------
-
-    #: EWMA smoothing factor for per-replica reply latency.
-    LATENCY_ALPHA = 0.3
-
-    def record_latency(self, server: int, seconds: float) -> None:
-        """Fold one successful reply's latency into the replica's EWMA."""
-        with self._latency_lock:
-            previous = self._latency_ewma.get(server)
-            if previous is None:
-                self._latency_ewma[server] = seconds
-            else:
-                alpha = self.LATENCY_ALPHA
-                self._latency_ewma[server] = alpha * seconds + (1 - alpha) * previous
-
-    def latency_estimate(self, server: int) -> float | None:
-        """The replica's current reply-latency EWMA (None if never seen)."""
-        with self._latency_lock:
-            return self._latency_ewma.get(server)
-
-    def rank_servers(self, candidates: Iterable[int]) -> tuple[int, ...]:
-        """Order candidate replicas fastest-first by latency EWMA.
-
-        Replicas with no measurement yet keep their incoming (logical-id)
-        order, after the measured ones — a cold replica is probed only once
-        the known-fast ones are in flight, which is the right bias for
-        quorum gathers and for balancing cold starts alike.
-        """
-        candidates = list(candidates)
-        with self._latency_lock:
-            snapshot = dict(self._latency_ewma)
-        measured = [server for server in candidates if server in snapshot]
-        measured.sort(key=lambda server: snapshot[server])
-        unmeasured = [server for server in candidates if server not in snapshot]
-        return tuple(measured + unmeasured)
+        return reply.then(
+            lambda value: self._settle_reply(server, request, value, started), on_error
+        )
 
 
 # -- server platform base ------------------------------------------------------

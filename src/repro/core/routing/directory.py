@@ -10,6 +10,11 @@ for thousands of objects), and the prefix scan survives only as the
 bootstrap fallback for unsharded deployments, whose naming entries and
 observable behaviour stay exactly as before.
 
+The directory is also the client's one replica-health table: every QoS
+protocol reads liveness (``status``) and the per-replica reply-latency
+EWMA (``rank_servers``) from it, and writes failures through
+``mark_failed`` / ``apply_fault`` and recoveries through ``bind``.
+
 The directory consults the router on every bind/rebind/endpoint/count: a
 view-version change invalidates cached endpoints, failure marks, and the
 cached count in one step — that *is* the client-side rebind of a
@@ -20,9 +25,9 @@ re-resolve through the (possibly re-registered) naming entries.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from repro.util.errors import BindError, CommunicationError, ServerFailedError
+from repro.util.errors import BindError, CommunicationError
 
 
 def _fault_action(error: BaseException | None) -> str:
@@ -42,7 +47,7 @@ class ReplicaDirectory:
     naming convention (``name_for``) formats the per-replica name, the
     resolver turns the name into an opaque endpoint (IOR reference, remote
     ref, HTTP address pair), and the directory caches endpoints and tracks
-    lock-guarded failure marks.
+    lock-guarded failure marks and reply-latency EWMAs.
 
     Replica discovery is two-tier: a sharded :class:`ShardRouter` view when
     one is attached (``router=``/``object_id=``), prefix enumeration
@@ -50,6 +55,13 @@ class ReplicaDirectory:
     normalized to :class:`~repro.util.errors.BindError` so ``bind()`` has
     one observable failure mode on every platform.
     """
+
+    #: EWMA smoothing factor for per-replica reply latency.
+    LATENCY_ALPHA = 0.3
+    #: Factor a communication fault multiplies the replica's latency EWMA
+    #: by: traffic moves away from a failing replica without folding
+    #: timeout artefacts into the estimate.
+    FAILURE_PENALTY = 2.0
 
     def __init__(
         self,
@@ -69,6 +81,7 @@ class ReplicaDirectory:
         self._lock = threading.Lock()
         self._endpoints: dict[int, Any] = {}
         self._failed: set[int] = set()
+        self._latency: dict[int, float] = {}
         self._count: int | None = None
         self._seen_version = router.view().version if router is not None else 0
 
@@ -167,7 +180,8 @@ class ReplicaDirectory:
             self._endpoints.pop(replica, None)
 
     def mark_failed(self, replica: int) -> None:
-        """Record the replica as down and drop its binding."""
+        """Record the replica as down (in the current view); drop its binding."""
+        self._sync_view()
         with self._lock:
             self._failed.add(replica)
             self._endpoints.pop(replica, None)
@@ -178,18 +192,46 @@ class ReplicaDirectory:
         with self._lock:
             return replica not in self._failed
 
-    def failed_replicas(self) -> set[int]:
-        with self._lock:
-            return set(self._failed)
-
     def apply_fault(self, replica: int, error: BaseException) -> str:
         """React to a platform fault per the shared taxonomy; returns the action."""
         action = _fault_action(error)
-        if action == "mark_failed":
-            self.mark_failed(replica)
-        elif action == "drop_binding":
-            self.drop(replica)
+        with self._lock:
+            if isinstance(error, CommunicationError) and replica in self._latency:
+                self._latency[replica] *= self.FAILURE_PENALTY
+            if action == "mark_failed":
+                self._failed.add(replica)
+            if action != "keep":
+                self._endpoints.pop(replica, None)
         return action
+
+    # -- reply latency ---------------------------------------------------------
+
+    def record_latency(self, replica: int, seconds: float) -> None:
+        """Fold one successful reply's latency into the replica's EWMA."""
+        with self._lock:
+            previous = self._latency.get(replica)
+            if previous is None:
+                self._latency[replica] = seconds
+            else:
+                self._latency[replica] = previous + self.LATENCY_ALPHA * (seconds - previous)
+
+    def latencies(self) -> dict[int, float]:
+        """Snapshot of the latency EWMA of every measured replica."""
+        with self._lock:
+            return dict(self._latency)
+
+    def rank_servers(self, candidates: Iterable[int]) -> tuple[int, ...]:
+        """Order candidate replicas fastest-first by latency EWMA.
+
+        Replicas with no measurement yet keep their incoming (logical-id)
+        order, after the measured ones — a cold replica is probed only once
+        the known-fast ones are in flight, which is the right bias for
+        quorum gathers and for balancing cold starts alike.
+        """
+        candidates = list(candidates)
+        snapshot = self.latencies()
+        measured = sorted((s for s in candidates if s in snapshot), key=snapshot.__getitem__)
+        return tuple(measured + [s for s in candidates if s not in snapshot])
 
     def count(self) -> int:
         """Replica count: from the routed view, else by prefix enumeration."""

@@ -42,7 +42,7 @@ from repro.core.events import (
     EV_READY_TO_INVOKE,
     EV_READY_TO_SEND,
 )
-from repro.core.client import SHARED_FAILED_SERVERS, SHARED_PLATFORM
+from repro.core.client import SHARED_PLATFORM
 from repro.core.interfaces import ClientPlatform, ServerPlatform
 from repro.core.request import PB_PRIORITY, Reply, Request
 from repro.core.server import SHARED_PRIORITY_POLICY
@@ -96,19 +96,18 @@ class ClientBase(MicroProtocol):
     def assigner(self, occurrence: Occurrence) -> None:
         """Assign the first non-failed server (server 1 in the simple case).
 
-        "Failed" is the union of this client's own observations (the shared
-        failed set) and the platform directory's knowledge — which, on a
-        sharded deployment, includes the failed members the adopted
-        directory view carries, so a membership change steers even plain
-        base clients away from a dead replica before the first timeout.
+        "Failed" is the platform's ``server_status()``: the one replica-health
+        table every protocol marks, which on a sharded deployment also
+        carries the failed members of the adopted directory view, so even
+        plain base clients steer away from a dead replica before the first
+        timeout.
         """
         request: Request = occurrence.args[0]
         platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS) or set()
         candidates = replica_ids(platform)
         server = candidates[0] if candidates else 1
         for candidate in candidates:
-            if candidate not in failed and platform.server_status(candidate):
+            if platform.server_status(candidate):
                 server = candidate
                 break
         request.server = server

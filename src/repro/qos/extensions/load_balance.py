@@ -6,8 +6,9 @@ Two halves:
   executing on this replica and answers ``load`` control-plane queries: the
   load-conditions extension of ``server_status()`` the paper sketches;
 - :class:`LoadBalance` (client) — overrides the base assigner with
-  latency-aware replica selection: per-replica service-latency EWMAs are
-  fed *passively* from each invocation's send→reply timestamps (no extra
+  latency-aware replica selection over the live replicas of the platform's
+  replica-health table: the per-replica reply-latency EWMA comes from that
+  table (the kernel feeds it passively from every reply, no extra
   messages), and assignment is power-of-two-choices over
   ``EWMA × (outstanding + 1)``.  The synchronous control-plane load poll
   survives only as the cold-start path: a replica with no latency samples
@@ -17,6 +18,8 @@ A transient probe failure during the cold-start poll keeps the replica's
 *stale* load (or a pessimistic default) — it does **not** mark the replica
 failed: only the binding layer's fault taxonomy may do that, and a lost
 control probe says nothing about the replica's ability to serve requests.
+The poll only visits live replicas, because its ``bind()`` clears a
+failure mark: a dead replica never re-enters selection through it.
 
 Composable with the acceptance and security protocols; mutually exclusive
 with the replication assigners (ActiveRep sends everywhere, PassiveRep
@@ -31,7 +34,7 @@ import threading
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import register_micro_protocol
 from repro.cactus.events import ORDER_EARLY, ORDER_FIRST, Occurrence
-from repro.core.client import SHARED_FAILED_SERVERS, SHARED_PLATFORM
+from repro.core.client import SHARED_PLATFORM
 from repro.core.events import (
     CONTROL_EVENT_PREFIX,
     EV_INVOKE_FAILURE,
@@ -41,7 +44,10 @@ from repro.core.events import (
     EV_READY_TO_SEND,
 )
 from repro.core.interfaces import ClientPlatform, ControlMessage
+from repro.core.platform import CONTROL_OPERATION, BaseClientPlatform
 from repro.core.request import Request
+from repro.core.routing import ReplicaDirectory
+from repro.qos.base import replica_ids
 from repro.util.errors import BindError, CommunicationError, ServerFailedError
 from repro.util.log import get_logger
 
@@ -49,8 +55,6 @@ logger = get_logger("qos.load_balance")
 
 CONTROL_LOAD = "load"
 
-#: Request attribute: monotonic timestamp of the current send attempt.
-_ATTR_SENT_AT = "lb_sent_at"
 #: Request attribute: replica whose outstanding counter this request holds.
 _ATTR_COUNTED = "lb_counted"
 
@@ -98,37 +102,32 @@ class LoadReporter(MicroProtocol):
 
 @register_micro_protocol("LoadBalance")
 class LoadBalance(MicroProtocol):
-    """Client half: latency-EWMA power-of-two-choices replica selection."""
+    """Client half: latency-EWMA power-of-two-choices replica selection.
+
+    Reads replica health from the platform's table (``directory``), which
+    every :class:`~repro.core.platform.BaseClientPlatform` owns.
+    """
 
     name = "LoadBalance"
 
-    def __init__(
-        self,
-        poll_interval: float = 0.25,
-        alpha: float = 0.3,
-        failure_penalty: float = 2.0,
-        seed: int | None = None,
-    ):
+    def __init__(self, poll_interval: float = 0.25, seed: int | None = None):
         super().__init__()
         self._poll_interval = poll_interval
-        self._alpha = alpha
-        self._failure_penalty = failure_penalty
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._loads: dict[int, int] = {}
-        self._ewma: dict[int, float] = {}
         self._outstanding: dict[int, int] = {}
         self._last_poll = float("-inf")
 
     def start(self) -> None:
         self.bind(EV_NEW_REQUEST, self.lb_assigner, order=ORDER_EARLY)
         self.bind(EV_READY_TO_SEND, self.on_send, order=ORDER_EARLY)
-        self.bind(EV_INVOKE_SUCCESS, self.on_reply, order=ORDER_FIRST)
-        self.bind(EV_INVOKE_FAILURE, self.on_reply_failure, order=ORDER_FIRST)
+        self.bind(EV_INVOKE_SUCCESS, self.on_settled, order=ORDER_FIRST)
+        self.bind(EV_INVOKE_FAILURE, self.on_settled, order=ORDER_FIRST)
 
     # -- load polling (cold-start fallback) ---------------------------------
 
-    def _poll_loads(self, platform: ClientPlatform) -> None:
+    def _poll_loads(self, platform: ClientPlatform, servers: list[int]) -> None:
         """Query each replica's LoadReporter through the control plane.
 
         Only communication faults are tolerated (reported as stale load —
@@ -136,10 +135,7 @@ class LoadBalance(MicroProtocol):
         propagates.  A failed probe never marks the replica failed: that
         verdict belongs to the binding layer's fault taxonomy alone.
         """
-        from repro.core.skeleton import CONTROL_OPERATION
-        from repro.qos.base import replica_ids
-
-        for server in replica_ids(platform):
+        for server in servers:
             probe = Request("lb", CONTROL_OPERATION, [CONTROL_LOAD, 0, {}])
             try:
                 platform.bind(server)
@@ -154,21 +150,20 @@ class LoadBalance(MicroProtocol):
             with self._lock:
                 self._loads[server] = load
 
-    def _maybe_poll(self, platform: ClientPlatform) -> None:
+    def _maybe_poll(self, platform: ClientPlatform, servers: list[int]) -> None:
         now = self.composite.runtime.clock.now()
         with self._lock:
             due = now - self._last_poll >= self._poll_interval
             if due:
                 self._last_poll = now
         if due:
-            self._poll_loads(platform)
+            self._poll_loads(platform, servers)
 
-    # -- passive latency observation ----------------------------------------
+    # -- outstanding work ----------------------------------------------------
 
     def on_send(self, occurrence: Occurrence) -> None:
         request: Request = occurrence.args[0]
         server: int = occurrence.args[1]
-        request.attributes[_ATTR_SENT_AT] = self.composite.runtime.clock.now()
         request.attributes[_ATTR_COUNTED] = server
         with self._lock:
             self._outstanding[server] = self._outstanding.get(server, 0) + 1
@@ -183,54 +178,23 @@ class LoadBalance(MicroProtocol):
         with self._lock:
             self._outstanding[server] = max(0, self._outstanding.get(server, 0) - 1)
 
-    def on_reply(self, occurrence: Occurrence) -> None:
-        request: Request = occurrence.args[0]
-        server: int = occurrence.args[1]
-        self._drain_outstanding(request)
-        sent_at = request.attributes.pop(_ATTR_SENT_AT, None)
-        if sent_at is None:
-            return
-        elapsed = max(0.0, self.composite.runtime.clock.now() - sent_at)
-        self.record_latency(server, elapsed)
-
-    def on_reply_failure(self, occurrence: Occurrence) -> None:
-        request: Request = occurrence.args[0]
-        server: int = occurrence.args[1]
-        self._drain_outstanding(request)
-        request.attributes.pop(_ATTR_SENT_AT, None)
-        # Push traffic away from a failing replica without polluting the
-        # latency estimate with timeout artefacts.
-        with self._lock:
-            if server in self._ewma:
-                self._ewma[server] *= self._failure_penalty
-
-    def record_latency(self, server: int, seconds: float) -> None:
-        """Feed one latency observation into the replica's EWMA."""
-        with self._lock:
-            current = self._ewma.get(server)
-            if current is None:
-                self._ewma[server] = seconds
-            else:
-                self._ewma[server] = current + self._alpha * (seconds - current)
+    def on_settled(self, occurrence: Occurrence) -> None:
+        self._drain_outstanding(occurrence.args[0])
 
     # -- selection -----------------------------------------------------------
 
-    def _score(self, server: int) -> float:
-        # Caller holds self._lock.
-        return self._ewma[server] * (1 + self._outstanding.get(server, 0))
-
-    def select(self, candidates: list[int]) -> int:
+    def select(self, candidates: list[int], table: ReplicaDirectory) -> int:
         """Pick a replica: explore cold ones first, then power-of-two-choices.
 
-        Cold replicas (no latency samples yet) are ranked by the last polled
-        load, ties broken by the *incoming candidate order* (the assigner
-        pre-ranks candidates by the kernel's latency EWMA when the platform
-        has one, so a replica another protocol already measured as fast is
-        explored before an arbitrary logical id); warm replicas compete
-        pairwise on ``EWMA × (outstanding+1)``.
+        ``table`` is the platform's replica-health table, whose latency
+        EWMAs score the candidates.  Cold replicas (no latency samples yet)
+        are ranked by the last polled load, ties broken by the incoming
+        candidate order; warm replicas compete pairwise on
+        ``EWMA × (outstanding+1)``.
         """
+        ewma = table.latencies()
         with self._lock:
-            cold = [s for s in candidates if s not in self._ewma]
+            cold = [s for s in candidates if s not in ewma]
             if cold:
                 chosen = min(
                     cold, key=lambda s: (self._loads.get(s, 0), candidates.index(s))
@@ -242,32 +206,31 @@ class LoadBalance(MicroProtocol):
             if len(candidates) == 1:
                 return candidates[0]
             first, second = self._rng.sample(candidates, 2)
-            return first if self._score(first) <= self._score(second) else second
+
+            def score(server: int) -> float:
+                return ewma[server] * (1 + self._outstanding.get(server, 0))
+
+            return first if score(first) <= score(second) else second
+
+    @staticmethod
+    def candidates(platform: BaseClientPlatform) -> list[int]:
+        """The live replicas, fastest first by the table's latency EWMA."""
+        ranked = platform.directory.rank_servers(replica_ids(platform))
+        return [server for server in ranked if platform.server_status(server)]
 
     def lb_assigner(self, occurrence: Occurrence) -> None:
         request: Request = occurrence.args[0]
-        platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        from repro.qos.base import replica_ids
-
-        candidates = [
-            server for server in replica_ids(platform) if server not in failed
-        ]
+        platform: BaseClientPlatform = self.shared.get(SHARED_PLATFORM)
+        candidates = self.candidates(platform)
+        measured = platform.directory.latencies()
+        if any(server not in measured for server in candidates):
+            self._maybe_poll(platform, candidates)
+            candidates = self.candidates(platform)  # the poll may find one dead
         if not candidates:
             request.fail(ServerFailedError("no live replica for load balancing"))
             occurrence.halt()
             return
-        rank = getattr(platform, "rank_servers", None)
-        if rank is not None:
-            # Kernel latency EWMAs (fed by every successful send on this
-            # platform, not just this protocol's) order the cold-start
-            # exploration; warm selection below is unaffected.
-            candidates = list(rank(candidates))
-        with self._lock:
-            any_cold = any(s not in self._ewma for s in candidates)
-        if any_cold:
-            self._maybe_poll(platform)
-        chosen = self.select(candidates)
+        chosen = self.select(candidates, platform.directory)
         request.server = chosen
         self.raise_event(EV_READY_TO_SEND, request, chosen)
         occurrence.halt()
@@ -277,11 +240,3 @@ class LoadBalance(MicroProtocol):
     def known_loads(self) -> dict[int, int]:
         with self._lock:
             return dict(self._loads)
-
-    def latency_ewma(self) -> dict[int, float]:
-        with self._lock:
-            return dict(self._ewma)
-
-    def outstanding(self) -> dict[int, int]:
-        with self._lock:
-            return dict(self._outstanding)

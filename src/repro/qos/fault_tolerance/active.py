@@ -184,12 +184,13 @@ class ActiveRep(MicroProtocol):
                 ids = tuple(ids[: self._num_servers])
             else:
                 ids = tuple(range(1, self._num_servers + 1))
-        rank = getattr(platform, "rank_servers", None)
-        if rank is not None:
-            # Latency-EWMA order: known-fast replicas are submitted (and
-            # typically answer) first, so first/quorum gathers finish
-            # without waiting on the habitual straggler.
-            ids = rank(ids)
+        table = getattr(platform, "directory", None)
+        if table is not None:
+            # Latency-EWMA order from the replica-health table: known-fast
+            # replicas are submitted (and typically answer) first, so
+            # first/quorum gathers finish without waiting on the habitual
+            # straggler.
+            ids = table.rank_servers(ids)
         return tuple(ids)
 
     # -- handlers ------------------------------------------------------------

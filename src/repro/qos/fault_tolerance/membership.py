@@ -4,9 +4,9 @@ The paper's ``server_status()`` "only indicates if the server is running or
 failed, but it could be extended" — and the base implementation learns of
 failures only when an invocation fails.  :class:`FailureDetector` adds
 proactive monitoring: a periodic probe of every replica (using the
-platform's active ``probe()`` where available) that keeps the shared
-failed-server set current and raises a ``membershipChange`` event when the
-view changes.
+platform's active ``probe()`` where available) that keeps the platform's
+replica-health table current and raises a ``membershipChange`` event when
+the probe changed which replicas that table reports failed.
 
 With PassiveRep this converts failover from reactive (first request after a
 crash pays a failed invocation) to proactive, and — because ``probe()``
@@ -18,8 +18,9 @@ from __future__ import annotations
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import register_micro_protocol
 from repro.cactus.events import Occurrence
-from repro.core.client import SHARED_FAILED_SERVERS, SHARED_PLATFORM
+from repro.core.client import SHARED_PLATFORM
 from repro.core.interfaces import ClientPlatform
+from repro.qos.base import replica_ids
 
 EV_MEMBERSHIP_CHANGE = "membershipChange"
 EV_FD_TICK = "failureDetectorTick"
@@ -27,7 +28,7 @@ EV_FD_TICK = "failureDetectorTick"
 
 @register_micro_protocol("FailureDetector")
 class FailureDetector(MicroProtocol):
-    """Periodically probe all replicas; maintain the failed-server view."""
+    """Periodically probe all replicas; keep the replica-health table current."""
 
     name = "FailureDetector"
 
@@ -44,29 +45,19 @@ class FailureDetector(MicroProtocol):
         self._stopped = True
         super().stop()
 
+    def _failed(self, platform: ClientPlatform) -> set[int]:
+        return {s for s in replica_ids(platform) if not platform.server_status(s)}
+
     def probe_now(self) -> set[int]:
         """Probe every replica once; return the new failed set."""
         platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        new_failed: set[int] = set()
-        # The directory view owns the replica id space: sharded placements
-        # produce legitimately sparse logical ids, so probing must iterate
-        # the view's ids, never assume a contiguous range(1, N+1).
-        server_ids = getattr(platform, "server_ids", None)
-        replicas = (
-            server_ids()
-            if server_ids is not None
-            else tuple(range(1, platform.num_servers() + 1))
-        )
-        for server in replicas:
-            probe = getattr(platform, "probe", None)
-            alive = probe(server) if probe is not None else platform.server_status(server)
-            if not alive:
-                new_failed.add(server)
-        with self.shared.lock:
-            old = set(failed)
-            failed.clear()
-            failed.update(new_failed)
+        old = self._failed(platform)
+        probe = getattr(platform, "probe", None)
+        if probe is not None:
+            # probe() marks a dead replica failed and rebinds a live one.
+            for server in replica_ids(platform):
+                probe(server)
+        new_failed = self._failed(platform)
         if old != new_failed:
             # A sharded client also records the change in its directory
             # view: the version bump is what invalidates stale bindings and

@@ -28,7 +28,7 @@ from collections import OrderedDict
 from repro.cactus.composite import MicroProtocol
 from repro.cactus.config import register_micro_protocol
 from repro.cactus.events import ORDER_EARLY, ORDER_FIRST, ORDER_LATE, Occurrence
-from repro.core.client import SHARED_FAILED_SERVERS, SHARED_PLATFORM
+from repro.core.client import SHARED_PLATFORM
 from repro.core.events import (
     CONTROL_EVENT_PREFIX,
     EV_INVOKE_FAILURE,
@@ -42,7 +42,7 @@ from repro.core.interfaces import ClientPlatform, ControlMessage, ServerPlatform
 from repro.core.platform import ScatterGather, threaded_reply_future
 from repro.core.request import PB_FORWARDED, Request
 from repro.core.server import SHARED_PLATFORM as SHARED_SERVER_PLATFORM
-from repro.qos.base import ATTR_SERVANT_EXCEPTION, server_replica_ids
+from repro.qos.base import ATTR_SERVANT_EXCEPTION, replica_ids, server_replica_ids
 from repro.util.errors import CommunicationError, ServerFailedError
 from repro.util.log import get_logger
 
@@ -66,11 +66,8 @@ class PassiveRep(MicroProtocol):
 
     def _pick_primary(self) -> int | None:
         platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        from repro.qos.base import replica_ids
-
         for server in replica_ids(platform):
-            if server not in failed:
+            if platform.server_status(server):
                 return server
         return None
 
@@ -89,9 +86,8 @@ class PassiveRep(MicroProtocol):
         """Mark the primary failed and re-execute; override the returner."""
         request: Request = occurrence.args[0]
         server: int = occurrence.args[1]
-        failed: set = self.shared.get(SHARED_FAILED_SERVERS)
-        with self.shared.lock:
-            failed.add(server)
+        platform: ClientPlatform = self.shared.get(SHARED_PLATFORM)
+        platform.mark_failed(server)
         logger.warning(
             "primary replica %d failed for %s; failing over", server, request.operation
         )

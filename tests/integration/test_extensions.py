@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps.bank import BankAccount, bank_interface
 from repro.cactus.config import MicroProtocolSpec
-from repro.core.client import SHARED_FAILED_SERVERS
 from repro.qos import ActiveRep, FirstSuccess, PassiveRep, PassiveRepServer, TotalOrder
 from repro.qos.fault_tolerance import FailureDetector, RequestLog, replay_log
 
@@ -29,7 +28,7 @@ class TestFailureDetector:
         assert detector.probe_now() == set()
         deployment.crash_replica("acct", 2)
         assert detector.probe_now() == {2}
-        assert client.shared.get(SHARED_FAILED_SERVERS) == {2}
+        assert [client.platform.server_status(s) for s in (1, 2)] == [True, False]
         deployment.recover_replica("acct", 2)
         assert detector.probe_now() == set()
 
@@ -41,13 +40,17 @@ class TestFailureDetector:
             client_micro_protocols=lambda: [FailureDetector(period=0.05)],
         )
         client = stub.cactus_client
+
+        def failed() -> set[int]:
+            return {s for s in (1, 2) if not client.platform.server_status(s)}
+
         deployment.crash_replica("acct", 1)
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if client.shared.get(SHARED_FAILED_SERVERS) == {1}:
+            if failed() == {1}:
                 break
             time.sleep(0.02)
-        assert client.shared.get(SHARED_FAILED_SERVERS) == {1}
+        assert failed() == {1}
 
     def test_proactive_failover_with_passive_rep(self, deployment):
         deployment.add_replicas(

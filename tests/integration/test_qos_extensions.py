@@ -10,6 +10,7 @@ from repro.qos.extensions import AdmissionControl, ClientCache, LoadBalance, Loa
 from repro.qos.extensions.admission import AdmissionRejectedError, RateLimiter
 from repro.qos.timeliness import HIGH_PRIORITY, LOW_PRIORITY
 from repro.util.clock import VirtualClock
+from repro.util.errors import CommunicationError
 
 
 class TestLoadBalance:
@@ -44,6 +45,35 @@ class TestLoadBalance:
         assert all(account.calls > 0 for account in counters), [
             account.calls for account in counters
         ]
+
+    def test_routes_around_replica_dead_before_first_reply(self, deployment):
+        """A replica that never replied is not explored once found dead.
+
+        Without a latency sample the replica counts as cold, and cold
+        replicas are explored first: unless selection reads the platform's
+        liveness, every call after the first two lands on the dead one.
+        """
+        deployment.add_replicas(
+            "acct",
+            BankAccount,
+            bank_interface(),
+            replicas=3,
+            server_micro_protocols=lambda: [LoadReporter()],
+        )
+        stub = deployment.client_stub(
+            "acct",
+            bank_interface(),
+            client_micro_protocols=lambda: [LoadBalance(poll_interval=10.0)],
+        )
+        deployment.crash_replica("acct", 3)
+        failures = []
+        for _ in range(50):
+            try:
+                assert stub.get_balance() == 0.0
+            except CommunicationError as exc:
+                failures.append(exc)
+        assert not failures, f"{len(failures)} of 50 calls failed: {failures[0]!r}"
+        assert not stub.cactus_client.platform.server_status(3)
 
     def test_prefers_idle_replica(self, deployment):
         gate = threading.Event()

@@ -6,14 +6,18 @@ Two families:
   and acquisition attempts the bucket must never grant more than burst
   capacity plus what the refill rate allows, and a monotonic-clock
   regression must never mint tokens;
-- :class:`LoadBalance` EWMA selection — the power-of-two-choices policy
-  must converge onto a clearly faster replica yet never starve any member
-  of a pool of equals.
+- :class:`LoadBalance` EWMA selection — fed from the client's
+  replica-health table, the power-of-two-choices policy must converge
+  onto a clearly faster replica yet never starve any member of a pool of
+  equals.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cactus.events import Occurrence
+from repro.core.request import Request
+from repro.core.routing import ReplicaDirectory
 from repro.qos.extensions.load_balance import LoadBalance
 from repro.qos.extensions.admission import RateLimiter
 from repro.util.clock import VirtualClock
@@ -108,6 +112,16 @@ class TestRateLimiterProperties:
         assert limiter.try_acquire()
 
 
+def _table() -> ReplicaDirectory:
+    """A client replica-health table with no bootstrap service behind it."""
+    return ReplicaDirectory(name_for=str, resolve=lambda name: name)
+
+
+def _send(balancer: LoadBalance, server: int) -> None:
+    """One send to ``server`` that stays outstanding (never completes)."""
+    balancer.on_send(Occurrence(None, (Request("obj", "op", []), server), None))
+
+
 class TestEwmaSelectionProperties:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -118,9 +132,10 @@ class TestEwmaSelectionProperties:
     def test_converges_to_faster_replica(self, seed, fast, slow_factor):
         """A clearly faster replica wins the large majority of picks."""
         balancer = LoadBalance(seed=seed)
-        balancer.record_latency(1, fast)
-        balancer.record_latency(2, fast * slow_factor)
-        picks = [balancer.select([1, 2]) for _ in range(200)]
+        table = _table()
+        table.record_latency(1, fast)
+        table.record_latency(2, fast * slow_factor)
+        picks = [balancer.select([1, 2], table) for _ in range(200)]
         # Power-of-two over two candidates compares the pair every time, so
         # with no outstanding work the faster replica wins every pick.
         assert picks.count(1) == 200
@@ -134,10 +149,11 @@ class TestEwmaSelectionProperties:
     def test_no_starvation_among_equals(self, seed, replicas, latency):
         """Equal replicas all receive traffic (random pair sampling)."""
         balancer = LoadBalance(seed=seed)
+        table = _table()
         candidates = list(range(1, replicas + 1))
         for server in candidates:
-            balancer.record_latency(server, latency)
-        picks = [balancer.select(candidates) for _ in range(120 * replicas)]
+            table.record_latency(server, latency)
+        picks = [balancer.select(candidates, table) for _ in range(120 * replicas)]
         assert set(picks) == set(candidates)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -145,8 +161,9 @@ class TestEwmaSelectionProperties:
     def test_outstanding_work_steers_away(self, seed):
         """Equal EWMAs but queued work: the idle replica is chosen."""
         balancer = LoadBalance(seed=seed)
-        balancer.record_latency(1, 0.01)
-        balancer.record_latency(2, 0.01)
-        with balancer._lock:
-            balancer._outstanding[1] = 5
-        assert all(balancer.select([1, 2]) == 2 for _ in range(50))
+        table = _table()
+        table.record_latency(1, 0.01)
+        table.record_latency(2, 0.01)
+        for _ in range(5):
+            _send(balancer, 1)
+        assert all(balancer.select([1, 2], table) == 2 for _ in range(50))

@@ -26,22 +26,32 @@ interface Echo {
 
 
 class FakeClientPlatform(ClientPlatform):
-    """Answers invocations locally; scriptable failures."""
+    """Answers invocations locally; scriptable failures.
+
+    Failure marks behave like the kernel's replica-health table:
+    ``mark_failed`` records one, ``server_status`` reports it, and ``bind``
+    clears it.
+    """
 
     def __init__(self, servers: int = 1):
         self.servers = servers
         self.bound: list[int] = []
         self.invocations: list[tuple[int, str, list]] = []
         self.fail_servers: set[int] = set()
+        self.marked_failed: set[int] = set()
 
     def num_servers(self) -> int:
         return self.servers
 
     def bind(self, server: int) -> None:
         self.bound.append(server)
+        self.marked_failed.discard(server)
 
     def server_status(self, server: int) -> bool:
-        return True
+        return server not in self.marked_failed
+
+    def mark_failed(self, server: int) -> None:
+        self.marked_failed.add(server)
 
     def invoke_server(self, server: int, request: Request):
         self.invocations.append((server, request.operation, list(request.get_params())))

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.cactus.events import ORDER_LAST
-from repro.core.client import SHARED_FAILED_SERVERS, CactusClient
+from repro.core.client import CactusClient
 from repro.core.events import (
     EV_INVOKE_FAILURE,
     EV_INVOKE_SUCCESS,
@@ -147,7 +147,7 @@ class TestPassiveRepMechanics:
         platform = FakeClientPlatform(servers=3)
         client = make_client(platform, [PassiveRep()])
         try:
-            client.shared.get(SHARED_FAILED_SERVERS).add(1)
+            platform.mark_failed(1)
             run_request(client)
             assert platform.invocations[0][0] == 2
         finally:
@@ -161,7 +161,7 @@ class TestPassiveRepMechanics:
         try:
             request, result = run_request(client)
             assert result == "v"
-            assert client.shared.get(SHARED_FAILED_SERVERS) == {1}
+            assert [platform.server_status(s) for s in (1, 2)] == [False, True]
             # Attempted 1 (failed), then 2.
             assert [s for s, _, _ in platform.invocations] == [1, 2]
         finally:

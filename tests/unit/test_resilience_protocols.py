@@ -68,6 +68,9 @@ class FakePlatform(ClientPlatform):
     def server_status(self, server):
         return self.running.get(server, True)
 
+    def mark_failed(self, server):
+        self.running[server] = False
+
     def invoke_server(self, server, request):
         self.calls += 1
         outcome = self.script.pop(0) if self.script else self.default
